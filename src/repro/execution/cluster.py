@@ -12,11 +12,19 @@ co-location that gives the paper its name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.workflow.resources import ResourceConfig, WorkflowConfiguration
 
-__all__ = ["Node", "Cluster", "PlacementError", "affinity_aware_placement"]
+__all__ = [
+    "Node",
+    "Cluster",
+    "PlacementError",
+    "PlacementIndex",
+    "ScoreFn",
+    "affinity_aware_placement",
+    "balanced_score",
+]
 
 
 class PlacementError(RuntimeError):
@@ -216,6 +224,93 @@ class Cluster:
             node.vcpu_used = 0.0
             node.memory_used_mb = 0.0
             node.healthy = True
+
+
+#: Score of one candidate node: ``score(node, projected_cpu, projected_mem)``
+#: with the node's CPU and memory utilisation after hosting the container.
+#: Lower keys win; a key must end with ``node.name`` (the final tie-break).
+ScoreFn = Callable[[Node, float, float], Tuple]
+
+
+def balanced_score(node: Node, projected_cpu: float, projected_mem: float) -> Tuple:
+    """Affinity-aware key: smallest CPU/memory imbalance, then load, then name."""
+    return (
+        round(abs(projected_cpu - projected_mem), 9),
+        round(projected_cpu + projected_mem, 9),
+        node.name,
+    )
+
+
+class _ShapeTable:
+    """Score keys of one request shape: node name → key, for nodes it fits on."""
+
+    __slots__ = ("config", "cap", "keys", "dirty")
+
+    def __init__(self, config: ResourceConfig, cap: Optional[float]) -> None:
+        self.config = config
+        self.cap = cap
+        self.keys: Dict[str, Tuple] = {}
+        self.dirty: Dict[str, Node] = {}
+
+    def rescore(self, nodes: Iterable[Node], score: ScoreFn) -> None:
+        config, cap, keys = self.config, self.cap, self.keys
+        for node in nodes:
+            if node.can_fit(config):
+                projected_cpu = (node.vcpu_used + config.vcpu) / node.vcpu_capacity
+                projected_mem = (node.memory_used_mb + config.memory_mb) / node.memory_capacity_mb
+                if cap is None or max(projected_cpu, projected_mem) <= cap + 1e-9:
+                    keys[node.name] = score(node, projected_cpu, projected_mem)
+                    continue
+            keys.pop(node.name, None)
+
+    def refresh(self, score: ScoreFn) -> None:
+        self.rescore(self.dirty.values(), score)
+        self.dirty.clear()
+
+
+class PlacementIndex:
+    """Incremental best-node lookup for a ledger placing containers on a cluster.
+
+    One table per request shape ``(vcpu, memory_mb, cap)`` maps every node
+    the shape fits on to its score key, so a query is ``min`` over cached
+    keys instead of a scan that re-scores every node.  ``cap`` (``None`` for
+    none) additionally bars nodes whose projected CPU or memory utilisation
+    would exceed it.  The owning ledger calls :meth:`mark_dirty` for every
+    node whose usage or health it changes; a table re-scores only its own
+    dirty nodes, and only when its shape is next queried.  Keys come from
+    the same expressions on the same node state as a full scan, and end
+    with the node name, so the pick is exactly the scan's.
+    """
+
+    def __init__(self, cluster: Cluster, score: ScoreFn) -> None:
+        self._nodes = cluster.nodes
+        self._by_name = {node.name: node for node in self._nodes}
+        self._score = score
+        self._tables: Dict[Tuple, _ShapeTable] = {}
+
+    def mark_dirty(self, node: Node) -> None:
+        """Record that ``node``'s usage or health changed."""
+        for table in self._tables.values():
+            table.dirty[node.name] = node
+
+    def best(self, config: ResourceConfig, cap: Optional[float] = None) -> Optional[Node]:
+        """The node a full scan would choose for ``config``, or ``None``."""
+        shape = (config.vcpu, config.memory_mb, cap)
+        table = self._tables.get(shape)
+        if table is None:
+            table = self._tables[shape] = _ShapeTable(config, cap)
+            table.rescore(self._nodes, self._score)
+        else:
+            table.refresh(self._score)
+        if not table.keys:
+            return None
+        return self._by_name[min(table.keys.values())[-1]]
+
+    def tables(self) -> Dict[Tuple, Dict[str, Tuple]]:
+        """Every table brought up to date: shape → node name → score key."""
+        for table in self._tables.values():
+            table.refresh(self._score)
+        return {shape: dict(table.keys) for shape, table in self._tables.items()}
 
 
 def affinity_aware_placement(

@@ -35,12 +35,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.execution.backend import EvaluationBackend, SimulatorBackend
-from repro.execution.cluster import Cluster, Node
+from repro.execution.cluster import Cluster, Node, balanced_score
 from repro.execution.container import ContainerPool
 from repro.execution.events import EventLoop, RequestArrival
 from repro.execution.instances import spot_eviction_schedule
 from repro.execution.protection import ProtectionGuard, ProtectionPolicy
-from repro.execution.serving import ServedRequest, ServingMetrics, percentile
+from repro.execution.serving import ServedRequest, ServingMetrics, _ClusterLedger, percentile
 from repro.execution.trace import ExecutionStatus
 from repro.utils.rng import RngStream, derive_seed
 from repro.workloads.arrivals import merge_request_streams
@@ -174,14 +174,25 @@ class FleetResult:
         return sum(r.metrics.rejected for r in self.tenants.values())
 
 
-class _FleetLedger:
+def _spread_score(node: Node, projected_cpu: float, projected_mem: float) -> Tuple:
+    """Fair-share key: lowest projected load first, then imbalance, then name."""
+    return (
+        round(projected_cpu + projected_mem, 9),
+        round(abs(projected_cpu - projected_mem), 9),
+        node.name,
+    )
+
+
+class _FleetLedger(_ClusterLedger):
     """Capacity reservations on a heterogeneous cluster, policy-scored.
 
-    Generalises the serving ledger: the candidate-node scoring key is chosen
-    by the placement policy, the ``priority`` policy additionally withholds
-    ``reserve_fraction`` of every node from tenants below the fleet's top
-    priority, and utilization always integrates against the *healthy*
-    capacity actually available in each window.
+    The serving ledger with the candidate-node scoring key chosen by the
+    placement policy (``bin-packing`` keeps the affinity-aware key,
+    ``fair-share`` and ``priority`` spread load first).  The ``priority``
+    policy additionally withholds ``reserve_fraction`` of every node from
+    tenants below the fleet's top priority, and utilization always
+    integrates against the *healthy* capacity actually available in each
+    window.
     """
 
     def __init__(
@@ -191,43 +202,10 @@ class _FleetLedger:
         reserve_fraction: float,
         max_priority: int,
     ) -> None:
-        self.cluster = cluster
+        super().__init__(cluster, balanced_score if policy == "bin-packing" else _spread_score)
         self.policy = policy
         self.reserve_fraction = reserve_fraction
         self.max_priority = max_priority
-        self.active = 0
-        self.peak_active = 0
-        self._last_time = 0.0
-        self._cpu_area = 0.0
-        self._mem_area = 0.0
-        self._cap_cpu_area = 0.0
-        self._cap_mem_area = 0.0
-        self._concurrency_area = 0.0
-        self._placements: Dict[int, List[Tuple[Node, str]]] = {}
-
-    def advance(self, now: float) -> None:
-        dt = now - self._last_time
-        if dt <= 0:
-            return
-        cap_cpu = 0.0
-        cap_mem = 0.0
-        for node in self.cluster.nodes:
-            if node.healthy:
-                cap_cpu += node.vcpu_capacity
-                cap_mem += node.memory_capacity_mb
-        self._cpu_area += sum(n.vcpu_used for n in self.cluster.nodes) * dt
-        self._mem_area += sum(n.memory_used_mb for n in self.cluster.nodes) * dt
-        self._cap_cpu_area += cap_cpu * dt
-        self._cap_mem_area += cap_mem * dt
-        self._concurrency_area += self.active * dt
-        self._last_time = now
-
-    def _score(self, node: Node, projected_cpu: float, projected_mem: float) -> Tuple:
-        imbalance = round(abs(projected_cpu - projected_mem), 9)
-        load = round(projected_cpu + projected_mem, 9)
-        if self.policy == "bin-packing":
-            return (imbalance, load, node.name)
-        return (load, imbalance, node.name)
 
     def try_reserve(
         self,
@@ -245,71 +223,7 @@ class _FleetLedger:
         cap = 1.0
         if self.policy == "priority" and priority < self.max_priority:
             cap = 1.0 - self.reserve_fraction
-        placed: List[Tuple[Node, str]] = []
-        node_of: Dict[str, Node] = {}
-        for function_name, config in configuration.items():
-            best: Optional[Node] = None
-            best_key: Optional[Tuple] = None
-            for node in self.cluster.nodes:
-                if not node.can_fit(config):
-                    continue
-                projected_cpu = (node.vcpu_used + config.vcpu) / node.vcpu_capacity
-                projected_mem = (
-                    node.memory_used_mb + config.memory_mb
-                ) / node.memory_capacity_mb
-                if max(projected_cpu, projected_mem) > cap + 1e-9:
-                    continue
-                key = self._score(node, projected_cpu, projected_mem)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = node
-            if best is None:
-                for node, name in placed:
-                    node.remove(name)
-                return None
-            name = f"{function_name}#{request_id}"
-            best.place(name, config)
-            placed.append((best, name))
-            node_of[function_name] = best
-        self._placements[request_id] = placed
-        self.active += 1
-        self.peak_active = max(self.peak_active, self.active)
-        return node_of
-
-    def release(self, request_id: int, now: float) -> None:
-        self.advance(now)
-        self.active -= 1
-        placed = self._placements.pop(request_id, None)
-        if placed is not None:
-            for node, name in placed:
-                node.remove(name)
-
-    def fail_node(self, node_name: str, now: float) -> List[int]:
-        """Down one node; return the aborted request ids (see serving ledger)."""
-        self.advance(now)
-        node = self.cluster.node(node_name)
-        if not node.healthy:
-            return []
-        affected = sorted(
-            request_id
-            for request_id, placed in self._placements.items()
-            if any(n is node for n, _ in placed)
-        )
-        for request_id in affected:
-            for placed_node, name in self._placements.pop(request_id):
-                if placed_node is not node:
-                    placed_node.remove(name)
-            self.active -= 1
-        self.cluster.fail_node(node_name)
-        return affected
-
-    def restore_node(self, node_name: str, now: float) -> None:
-        self.advance(now)
-        self.cluster.restore_node(node_name)
-
-    @property
-    def has_down_nodes(self) -> bool:
-        return any(not node.healthy for node in self.cluster.nodes)
+        return self._place(request_id, configuration, cap)
 
     def utilization(self) -> Tuple[Optional[float], Optional[float], float]:
         span = self._last_time

@@ -38,7 +38,7 @@ from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tu
 import numpy as np
 
 from repro.execution.backend import EvaluationBackend, SimulatorBackend
-from repro.execution.cluster import Cluster, Node
+from repro.execution.cluster import Cluster, Node, PlacementIndex, ScoreFn, balanced_score
 from repro.execution.container import ContainerPool
 from repro.execution.events import EventLoop, RequestArrival
 from repro.execution.executor import WorkflowExecutor
@@ -353,13 +353,16 @@ class _ClusterLedger:
 
     A request reserves one container per workflow function for its full
     residence time; placement follows the affinity-aware heuristic (minimise
-    the node's CPU/memory utilisation imbalance after hosting the container).
-    Placements are keyed ``function#request`` so concurrent requests running
-    the same workflow release exactly their own capacity.  The ledger also
-    integrates reserved vCPU/memory over time for utilization reporting.
+    the node's CPU/memory utilisation imbalance after hosting the container,
+    or whatever ``score`` orders first), looked up in a
+    :class:`~repro.execution.cluster.PlacementIndex` that the ledger keeps
+    current by marking every node it changes.  Placements are keyed
+    ``function#request`` so concurrent requests running the same workflow
+    release exactly their own capacity.  The ledger also integrates
+    reserved vCPU/memory over time for utilization reporting.
     """
 
-    def __init__(self, cluster: Optional[Cluster]) -> None:
+    def __init__(self, cluster: Optional[Cluster], score: ScoreFn = balanced_score) -> None:
         self.cluster = cluster
         self.active = 0
         self.peak_active = 0
@@ -371,6 +374,24 @@ class _ClusterLedger:
         self._cap_mem_area = 0.0
         self._saw_unhealthy_window = False
         self._placements: Dict[int, List[Tuple[Node, str]]] = {}
+        self._nodes: List[Node] = [] if cluster is None else cluster.nodes
+        self._index = None if cluster is None else PlacementIndex(cluster, score)
+        self._recount_healthy()
+
+    def _recount_healthy(self) -> None:
+        """Re-sum healthy capacity (in node order) and count down nodes."""
+        cap_cpu = 0.0
+        cap_mem = 0.0
+        down = 0
+        for node in self._nodes:
+            if node.healthy:
+                cap_cpu += node.vcpu_capacity
+                cap_mem += node.memory_capacity_mb
+            else:
+                down += 1
+        self._healthy_cpu = cap_cpu
+        self._healthy_mem = cap_mem
+        self._down_nodes = down
 
     # -- time integration -------------------------------------------------------
     def advance(self, now: float) -> None:
@@ -379,23 +400,16 @@ class _ClusterLedger:
         if dt <= 0:
             return
         if self.cluster is not None:
-            self._cpu_area += sum(n.vcpu_used for n in self.cluster.nodes) * dt
-            self._mem_area += sum(n.memory_used_mb for n in self.cluster.nodes) * dt
+            # Used capacity is re-summed per node: a running total would
+            # round differently from the historical per-window sums.
+            self._cpu_area += sum(n.vcpu_used for n in self._nodes) * dt
+            self._mem_area += sum(n.memory_used_mb for n in self._nodes) * dt
             # Capacity that could actually have hosted work over this window:
             # failed nodes contribute nothing, so node-storm runs no longer
             # deflate reported utilization by dividing by ghost capacity.
-            cap_cpu = 0.0
-            cap_mem = 0.0
-            all_healthy = True
-            for n in self.cluster.nodes:
-                if n.healthy:
-                    cap_cpu += n.vcpu_capacity
-                    cap_mem += n.memory_capacity_mb
-                else:
-                    all_healthy = False
-            self._cap_cpu_area += cap_cpu * dt
-            self._cap_mem_area += cap_mem * dt
-            if not all_healthy:
+            self._cap_cpu_area += self._healthy_cpu * dt
+            self._cap_mem_area += self._healthy_mem * dt
+            if self._down_nodes:
                 self._saw_unhealthy_window = True
         self._concurrency_area += self.active * dt
         self._last_time = now
@@ -407,39 +421,45 @@ class _ClusterLedger:
         """Reserve capacity for one request; rolls back fully on failure."""
         self.advance(now)
         if self.cluster is None:
-            self.active += 1
-            self.peak_active = max(self.peak_active, self.active)
+            self._admit()
             return True
+        return self._place(request_id, configuration, None) is not None
+
+    def _place(
+        self, request_id: int, configuration: WorkflowConfiguration, cap: Optional[float]
+    ) -> Optional[Dict[str, Node]]:
+        """Place one container per function on the index's best node.
+
+        Returns the function → node assignment, or ``None`` (every container
+        placed so far rolled back) if some function fits on no node.
+        """
+        index = self._index
         placed: List[Tuple[Node, str]] = []
+        node_of: Dict[str, Node] = {}
         for function_name, config in configuration.items():
-            best: Optional[Node] = None
-            best_key: Optional[Tuple[float, float, str]] = None
-            for node in self.cluster.nodes:
-                if not node.can_fit(config):
-                    continue
-                projected_cpu = (node.vcpu_used + config.vcpu) / node.vcpu_capacity
-                projected_mem = (
-                    node.memory_used_mb + config.memory_mb
-                ) / node.memory_capacity_mb
-                key = (
-                    round(abs(projected_cpu - projected_mem), 9),
-                    round(projected_cpu + projected_mem, 9),
-                    node.name,
-                )
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = node
+            best = index.best(config, cap)
             if best is None:
-                for node, name in placed:
-                    node.remove(name)
-                return False
+                self._unplace(placed)
+                return None
             name = f"{function_name}#{request_id}"
             best.place(name, config)
+            index.mark_dirty(best)
             placed.append((best, name))
+            node_of[function_name] = best
         self._placements[request_id] = placed
+        self._admit()
+        return node_of
+
+    def _admit(self) -> None:
         self.active += 1
         self.peak_active = max(self.peak_active, self.active)
-        return True
+
+    def _unplace(self, placed: List[Tuple[Node, str]], skip: Optional[Node] = None) -> None:
+        """Remove placements (except those on ``skip``), marking their nodes."""
+        for node, name in placed:
+            if node is not skip:
+                node.remove(name)
+                self._index.mark_dirty(node)
 
     def release(self, request_id: int, now: float) -> None:
         """Give a finished request's capacity back."""
@@ -447,8 +467,7 @@ class _ClusterLedger:
         self.active -= 1
         placed = self._placements.pop(request_id, None)
         if placed is not None:
-            for node, name in placed:
-                node.remove(name)
+            self._unplace(placed)
 
     # -- node failures ----------------------------------------------------------
     def fail_node(self, node_name: str, now: float) -> List[int]:
@@ -471,11 +490,11 @@ class _ClusterLedger:
             if any(n is node for n, _ in placed)
         )
         for request_id in affected:
-            for placed_node, name in self._placements.pop(request_id):
-                if placed_node is not node:
-                    placed_node.remove(name)
+            self._unplace(self._placements.pop(request_id), skip=node)
             self.active -= 1
         self.cluster.fail_node(node_name)
+        self._index.mark_dirty(node)
+        self._recount_healthy()
         return affected
 
     def restore_node(self, node_name: str, now: float) -> None:
@@ -483,13 +502,13 @@ class _ClusterLedger:
         self.advance(now)
         if self.cluster is not None:
             self.cluster.restore_node(node_name)
+            self._index.mark_dirty(self.cluster.node(node_name))
+            self._recount_healthy()
 
     @property
     def has_down_nodes(self) -> bool:
         """Whether any node is currently failed (capacity may come back)."""
-        return self.cluster is not None and any(
-            not node.healthy for node in self.cluster.nodes
-        )
+        return self._down_nodes > 0
 
     # -- reporting --------------------------------------------------------------
     def utilization(self) -> Tuple[Optional[float], Optional[float], float]:

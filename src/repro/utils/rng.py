@@ -58,7 +58,9 @@ class RngStream:
     def __init__(self, seed: int, label: str = "root") -> None:
         self._seed = int(seed)
         self._label = str(label)
-        self._generator = np.random.default_rng(self._seed)
+        # The same stream ``np.random.default_rng`` builds, without its
+        # argument dispatch (fault injection makes one stream per invocation).
+        self._generator = np.random.Generator(np.random.PCG64(self._seed))
 
     @property
     def seed(self) -> int:

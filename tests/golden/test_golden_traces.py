@@ -246,6 +246,54 @@ def protection_snapshot(settings):
     }
 
 
+#: Contended-run golden: the base configuration on 64 nodes under ``chaos``
+#: faults and ``full`` protection, so every dispatch goes through the cluster
+#: ledger's affinity-aware placement while nodes fail and recover under it.
+CONTENDED_SETTINGS = dataclasses.replace(
+    SERVING_SETTINGS,
+    rate_rps=1.0,
+    duration_seconds=300.0,
+    nodes=64,
+    faults="chaos",
+    protection="full",
+    seed=2025,
+)
+
+
+def contended_snapshot(settings=CONTENDED_SETTINGS):
+    """Run the contended experiment; return its snapshot and raw metrics.
+
+    The snapshot holds every :class:`ServingMetrics` field plus each
+    request's outcome.
+    """
+    report = run_serving_experiment("chatbot", settings)
+    snapshot = {
+        "workload": report.workload,
+        "traffic": report.traffic_description,
+        "protection": report.protection_description,
+        "requests": [
+            {
+                "index": outcome.index,
+                "arrival": outcome.arrival_time,
+                "dispatch": outcome.dispatch_time,
+                "completion": outcome.completion_time,
+                "cost": outcome.cost,
+                "cold_starts": outcome.cold_start_count,
+                "succeeded": outcome.succeeded,
+                "attempts": outcome.attempts,
+                "retries": outcome.retries,
+                "restarts": outcome.restarts,
+                "hedges": outcome.hedges,
+                "hedge_wins": outcome.hedge_wins,
+            }
+            for outcome in report.result.outcomes
+        ],
+        "rejected": [request.arrival_time for request in report.result.rejected],
+        "metrics": dataclasses.asdict(report.metrics),
+    }
+    return snapshot, report
+
+
 def search_snapshot():
     """Run the pinned search experiments and flatten them to JSON-safe data."""
     snapshot = {}
@@ -396,6 +444,29 @@ class TestProtectionGolden:
         check_golden(
             golden_dir, "serving_breaker_storm.json", snapshot, update_golden
         )
+
+
+class TestContendedGolden:
+    def test_contended_chaos_run_matches_golden(self, golden_dir, update_golden):
+        snapshot, report = contended_snapshot()
+        # The fixture must pin placements under node churn and real
+        # contention, not a run that never queues or loses a node.
+        assert snapshot["metrics"]["node_failures"] >= 1
+        assert snapshot["metrics"]["queueing_max_seconds"] > 0
+        check_golden(
+            golden_dir,
+            "serving_chatbot_contended_chaos.json",
+            snapshot,
+            update_golden,
+        )
+
+    def test_batched_fallback_matches_event_metrics(self):
+        _, event = contended_snapshot()
+        _, batched = contended_snapshot(
+            dataclasses.replace(CONTENDED_SETTINGS, engine="batched")
+        )
+        assert batched.result.fallback_reason == "faults"
+        assert dataclasses.asdict(batched.metrics) == dataclasses.asdict(event.metrics)
 
 
 class TestAdaptiveGolden:

@@ -28,6 +28,18 @@ class TestRngStream:
         b = RngStream(42).uniform()
         assert a == b
 
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 2, 7, 42, 2025, 90210, 2**31 - 1, 2**32, derive_seed(5, "x"), 2**63 - 2]
+    )
+    def test_stream_matches_default_rng(self, seed):
+        # The stream is built from PCG64 directly; it must draw exactly what
+        # ``np.random.default_rng`` would for the same seed.
+        stream = RngStream(seed).generator
+        reference = np.random.default_rng(seed)
+        assert stream.uniform(size=16).tolist() == reference.uniform(size=16).tolist()
+        assert stream.normal(size=8).tolist() == reference.normal(size=8).tolist()
+        assert stream.integers(0, 1000, size=8).tolist() == reference.integers(0, 1000, size=8).tolist()
+
     def test_different_seed_different_sequence(self):
         assert RngStream(1).uniform() != RngStream(2).uniform()
 
