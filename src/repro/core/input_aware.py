@@ -169,7 +169,7 @@ class InputAwareEngine:
         return self._configurations[rule.name]
 
     def dispatcher(self) -> Callable[[RequestArrival], WorkflowConfiguration]:
-        """A per-arrival callback for the request-stream and serving simulators."""
+        """A per-arrival callback for the serving simulators."""
         return self.configuration_for
 
     def dispatch_counts(self) -> Mapping[str, int]:

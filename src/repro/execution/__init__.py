@@ -26,12 +26,7 @@ from repro.execution.vectorized import (
     VectorizedBackend,
     VectorizedWorkflowEngine,
 )
-from repro.execution.events import (
-    EventLoop,
-    RequestArrival,
-    RequestOutcome,
-    RequestStreamSimulator,
-)
+from repro.execution.events import EventLoop, RequestArrival
 from repro.execution.faults import (
     FAULT_PROFILE_NAMES,
     ExponentialBackoffRetry,
@@ -77,8 +72,6 @@ __all__ = [
     "WorkflowExecutor",
     "EventLoop",
     "RequestArrival",
-    "RequestOutcome",
-    "RequestStreamSimulator",
     "FAULT_PROFILE_NAMES",
     "ExponentialBackoffRetry",
     "FaultInjector",

@@ -4,8 +4,8 @@ Serverless platforms keep recently used containers warm for a keep-alive
 window; an invocation that finds a warm container with a matching resource
 configuration skips the cold start.  The pool here is intentionally simple —
 per (function, configuration) LRU with a fixed keep-alive — which is enough to
-study how often the configuration search pays cold starts and to support the
-request-stream simulator.
+study how often the configuration search pays cold starts and to back the
+serving layer's warm pool.
 """
 
 from __future__ import annotations

@@ -125,6 +125,11 @@ class FleetOptions:
             raise ValueError("interference_alpha cannot be negative")
         if not 0 <= self.priority_reserve_fraction < 1:
             raise ValueError("priority_reserve_fraction must be in [0, 1)")
+        if self.queue_capacity is not None and self.queue_capacity < 0:
+            raise ValueError(
+                f"queue_capacity cannot be negative (got {self.queue_capacity}); "
+                "use 0 for a loss system or None for an unbounded queue"
+            )
 
 
 @dataclass

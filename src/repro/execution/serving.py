@@ -138,6 +138,13 @@ class ServingOptions:
     autoscale: bool = False
     autoscaler: AutoscalerOptions = field(default_factory=AutoscalerOptions)
 
+    def __post_init__(self) -> None:
+        if self.queue_capacity is not None and self.queue_capacity < 0:
+            raise ValueError(
+                f"queue_capacity cannot be negative (got {self.queue_capacity}); "
+                "use 0 for a loss system or None for an unbounded queue"
+            )
+
 
 class ServedRequest:
     """Outcome of one request that made it through the serving layer.

@@ -18,13 +18,10 @@ the scalar engine under fixed seeds (the differential tier in
   reduces to an exact LIFO deque (most-recent warm match, strict-boundary
   expiry, oldest-first capacity eviction), and mixed-configuration buckets
   drive a real replica pool so input-aware cohorts keep exact semantics.
-* Runs that contend for a finite cluster replay the scalar event loop
-  *exactly* on the :class:`~repro.execution.events_calendar.EventCalendar`
-  — same event set, same insertion-order tie-breaking — just without the
-  per-event closure allocation and per-request re-evaluation.
-* Faulty, noisy, adaptive-controller and autoscaled runs **fall back** to
-  the scalar engine unchanged, so ``repro scenarios`` semantics are
-  untouched (the differential tier still compares them byte-for-byte).
+* Faulty, protected, noisy, adaptive-controller, autoscaled and
+  finite-cluster runs **fall back** to the scalar engine unchanged, so
+  ``repro scenarios`` semantics are untouched (the differential tier still
+  compares them byte-for-byte).
 
 Floating-point equality is engineered, not hoped for: sequential Python
 accumulation is replicated with ``np.cumsum`` (bit-identical to a running
@@ -46,7 +43,6 @@ from repro.execution.backend import EvaluationBackend
 from repro.execution.cluster import Cluster
 from repro.execution.container import ContainerPool
 from repro.execution.events import RequestArrival
-from repro.execution.events_calendar import EventCalendar
 from repro.execution.executor import WorkflowExecutor
 from repro.execution.faults import FaultPlan
 from repro.execution.protection import ProtectionPolicy
@@ -73,12 +69,6 @@ __all__ = [
 #: Engine names accepted by :func:`build_serving_engine` (and the CLI).
 SERVING_ENGINE_NAMES: Tuple[str, ...] = ("event", "batched")
 
-# Event kinds on the calendar (arrivals ride the pre-sorted backbone lane).
-_ARRIVAL = 0
-_START = 1
-_RELEASE = 2
-_COMPLETE = 3
-
 
 class _Template:
     """Per-(configuration, input-scale) service-trace template.
@@ -101,9 +91,6 @@ class _Template:
         "penalties",
         "deltas",
         "preds",
-        "succs",
-        "waiting0",
-        "roots",
         "base_cost",
         "succeeded",
     )
@@ -116,18 +103,11 @@ class _Template:
             [index[p] for p in simulator._predecessors[name] if p in records]
             for name in names
         ]
-        succs: List[List[int]] = [[] for _ in names]
-        for position, plist in enumerate(preds):
-            for p in plist:
-                succs[p].append(position)
         pricing = simulator.executor.pricing
         self.trace = trace
         self.names = names
         self.index = index
         self.preds = preds
-        self.succs = succs
-        self.waiting0 = [len(plist) for plist in preds]
-        self.roots = [k for k, w in enumerate(self.waiting0) if w == 0]
         self.statuses = [records[name].status for name in names]
         self.runtimes = [records[name].runtime_seconds for name in names]
         self.configs = [records[name].config for name in names]
@@ -149,9 +129,9 @@ class BatchedServingSimulator:
     """Array-cohort serving engine, bit-identical to the scalar loop.
 
     Accepts the same construction arguments as :class:`ServingSimulator`
-    and wraps one internally — both for the fallback paths (faults, noise,
-    adaptive control, autoscaling) and to reuse its precomputed topology
-    and metrics summarisation.
+    and wraps one internally — both for the fallback paths (faults,
+    protection, noise, adaptive control, autoscaling, finite clusters) and
+    to reuse its precomputed topology and metrics summarisation.
     """
 
     def __init__(
@@ -233,12 +213,13 @@ class BatchedServingSimulator:
     ) -> ServingResult:
         """Serve the stream; identical signature and results to the scalar run.
 
-        Faulty, noisy, adaptive, autoscaled and *protected* runs route to
-        the scalar engine per request — their per-event branching defeats
-        cohorting, and the contract is that those cohorts still match
-        byte-for-byte.  The delegation happens before any dispatcher side
-        effect (``configuration_for`` is not called for a delegated run),
-        and the returned result records why in ``fallback_reason``.
+        Faulty, noisy, adaptive, autoscaled, *protected* and finite-cluster
+        runs route to the scalar engine — their per-event branching (or
+        queueing) defeats cohorting, and the contract is that those runs
+        still match byte-for-byte.  The delegation happens before any
+        dispatcher side effect (``configuration_for`` is not called for a
+        delegated run), and the returned result records why in
+        ``fallback_reason``.
         """
         scalar = self._scalar
         plan = scalar.faults
@@ -254,6 +235,8 @@ class BatchedServingSimulator:
             reason = "adaptive"
         elif scalar.options.autoscale:
             reason = "autoscale"
+        elif scalar.cluster is not None:
+            reason = "cluster"
         if reason:
             return self._delegate(
                 reason,
@@ -270,10 +253,10 @@ class BatchedServingSimulator:
         pool_warmed = scalar.options.simulate_cold_starts and any(
             scalar.container_pool._containers.values()
         )
-        # The cohort sweep assumes a pristine pool (fresh per experiment);
-        # unsorted streams would break the backbone lane.  Both are exotic —
-        # serve them on the reference engine instead of approximating.
-        if not sorted_ok or (scalar.cluster is None and pool_warmed):
+        # The cohort sweep assumes a pristine pool (fresh per experiment) and
+        # a time-ordered stream.  Both are exotic — serve them on the
+        # reference engine instead of approximating.
+        if not sorted_ok or pool_warmed:
             return self._delegate(
                 "unsorted-arrivals" if not sorted_ok else "warm-pool",
                 request_list,
@@ -283,8 +266,6 @@ class BatchedServingSimulator:
         if duration_seconds is None:
             duration_seconds = max(times, default=0.0)
         configs = [configuration_for(r) for r in request_list]
-        if scalar.cluster is not None:
-            return self._run_calendar(request_list, configs, duration_seconds)
         return self._run_cohort(request_list, configs, duration_seconds)
 
     def _delegate(
@@ -624,147 +605,6 @@ class BatchedServingSimulator:
         ledger._last_time = float(times_sorted[-1])
         ledger.peak_active = int(active_after.max())
         return ledger
-
-    # -- contended calendar path -------------------------------------------------
-    def _run_calendar(
-        self,
-        request_list: List[RequestArrival],
-        configs: List[WorkflowConfiguration],
-        duration_seconds: float,
-    ) -> ServingResult:
-        """Finite cluster: exact event replay on the two-lane calendar.
-
-        The event set, handler order and every push mirror the scalar
-        ``run``/``_launch`` pair one-for-one (arrivals on the backbone own
-        seqs ``0..n-1``; dynamic pushes continue in the scalar's schedule
-        order), so tie-breaking is identical — only the closure allocation
-        and per-request backend evaluation are gone.
-        """
-        scalar = self._scalar
-        n = len(request_list)
-        pool = scalar.container_pool if scalar.options.simulate_cold_starts else None
-        queue_capacity = scalar.options.queue_capacity
-        templates, template_of = self._build_templates(request_list, configs)
-        ledger = _ClusterLedger(scalar.cluster)
-        queue: deque = deque()
-        outcomes: List[ServedRequest] = []
-        rejected: List[RequestArrival] = []
-        calendar = EventCalendar(
-            [r.arrival_time for r in request_list], _ARRIVAL
-        )
-        release_slots: List[Tuple[object, float]] = []
-        # Per-request launch state, indexed by request.
-        dispatch_at = [0.0] * n
-        completion_at = [0.0] * n
-        colds = [0] * n
-        cold_secs = [0.0] * n
-        extras = [0.0] * n
-        finish_of: List[Optional[List[float]]] = [None] * n
-        waiting_of: List[Optional[List[int]]] = [None] * n
-        remaining = [0] * n
-
-        def launch(i: int, dispatch_time: float) -> None:
-            tpl = templates[template_of[i]]
-            dispatch_at[i] = dispatch_time
-            completion_at[i] = dispatch_time
-            if not tpl.roots:
-                calendar.push(dispatch_time, _COMPLETE, i)
-                return
-            finish_of[i] = [0.0] * len(tpl.names)
-            waiting_of[i] = tpl.waiting0.copy()
-            remaining[i] = len(tpl.names)
-            for k in tpl.roots:
-                calendar.push(dispatch_time, _START, i, k)
-
-        def try_dispatch() -> None:
-            while queue:
-                i = queue[0]
-                if not ledger.try_reserve(i, configs[i], calendar.now):
-                    if ledger.active == 0 and not ledger.has_down_nodes:
-                        queue.popleft()
-                        rejected.append(request_list[i])
-                        continue
-                    break
-                queue.popleft()
-                launch(i, calendar.now)
-
-        while calendar:
-            now, _, kind, a, b = calendar.pop()
-            if kind == _START:
-                tpl = templates[template_of[a]]
-                status = tpl.statuses[b]
-                if status is ExecutionStatus.SKIPPED:
-                    end = now
-                else:
-                    penalty = 0.0
-                    container = None
-                    if pool is not None:
-                        container, is_cold = pool.acquire(
-                            tpl.names[b], tpl.configs[b], now
-                        )
-                        if is_cold:
-                            penalty = tpl.penalties[b]
-                            colds[a] += 1
-                            cold_secs[a] += penalty
-                    end = now + penalty + tpl.runtimes[b]
-                    if container is not None and status is not ExecutionStatus.OOM:
-                        # OOM kills destroy the container: never released.
-                        calendar.push(end, _RELEASE, len(release_slots))
-                        release_slots.append((container, end))
-                    if penalty > 0.0:
-                        extras[a] += tpl.deltas[b]
-                finish = finish_of[a]
-                finish[b] = end
-                if end > completion_at[a]:
-                    completion_at[a] = end
-                remaining[a] -= 1
-                if remaining[a] == 0:
-                    calendar.push(completion_at[a], _COMPLETE, a)
-                else:
-                    waiting = waiting_of[a]
-                    for s in tpl.succs[b]:
-                        waiting[s] -= 1
-                        if waiting[s] == 0:
-                            plist = tpl.preds[s]
-                            start = finish[plist[0]]
-                            for p in plist[1:]:
-                                value = finish[p]
-                                if value > start:
-                                    start = value
-                            calendar.push(start, _START, a, s)
-            elif kind == _RELEASE:
-                container, finish_time = release_slots[a]
-                pool.release(container, finish_time)
-            elif kind == _COMPLETE:
-                tpl = templates[template_of[a]]
-                outcome = ServedRequest(
-                    a,
-                    request_list[a],
-                    configs[a],
-                    dispatch_at[a],
-                    completion_at[a],
-                    tpl.base_cost + extras[a],
-                    colds[a],
-                    cold_secs[a],
-                    tpl.succeeded,
-                    tpl.trace,
-                )
-                ledger.release(a, now)
-                outcomes.append(outcome)
-                try_dispatch()
-            else:  # arrival
-                queue.append(a)
-                try_dispatch()
-                if queue_capacity is not None and len(queue) > queue_capacity:
-                    dropped = queue.pop()
-                    rejected.append(request_list[dropped])
-
-        ledger.advance(calendar.now)
-        outcomes.sort(key=lambda o: o.index)
-        metrics = scalar._summarize(
-            outcomes, rejected, ledger, duration_seconds, n
-        )
-        return ServingResult(outcomes=outcomes, rejected=rejected, metrics=metrics)
 
 
 def build_serving_engine(name: str = "event", **kwargs):

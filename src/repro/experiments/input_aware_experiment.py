@@ -18,7 +18,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.input_aware import InputAwareEngine
 from repro.core.objective import ConfigurationSearcher
-from repro.execution.events import RequestArrival, RequestStreamSimulator
+from repro.execution.events import RequestArrival
+from repro.execution.serving import ServingOptions, ServingSimulator
 from repro.experiments.harness import ExperimentSettings, make_searcher
 from repro.workflow.resources import WorkflowConfiguration
 from repro.workloads.inputs import VIDEO_INPUT_CLASSES, input_class_rules, request_sequence
@@ -128,7 +129,13 @@ def run_input_aware_experiment(
     workload = get_workload(workload_name)
     requests = request_sequence(n_requests, classes=VIDEO_INPUT_CLASSES, pattern=pattern)
     executor = workload.build_executor()
-    simulator = RequestStreamSimulator(executor=executor, workflow=workload.workflow)
+    # Uncapped and cold-start free: every request runs on its own capacity
+    # the moment it arrives, so only the per-request configuration matters.
+    simulator = ServingSimulator(
+        workload.workflow,
+        executor,
+        options=ServingOptions(simulate_cold_starts=False),
+    )
 
     comparison = InputAwareComparison(
         workload=workload.name, slo_limit_seconds=workload.slo.latency_limit
@@ -139,11 +146,11 @@ def run_input_aware_experiment(
             dispatcher, samples = _prepare_input_aware(searcher, workload, settings)
         else:
             dispatcher, samples = _prepare_fixed(searcher, workload, settings)
-        outcomes = simulator.run(requests, dispatcher)
+        outcomes = simulator.run(requests, dispatcher).outcomes
         comparison.outcomes[method] = MethodStreamOutcome(
             method=method,
             request_classes=[r.input_class for r in requests],
-            runtimes_seconds=[o.trace.end_to_end_latency - o.request.arrival_time for o in outcomes],
+            runtimes_seconds=[o.latency_seconds for o in outcomes],
             costs=[o.cost for o in outcomes],
             slo_limit_seconds=workload.slo.latency_limit,
             search_samples=samples,

@@ -128,8 +128,8 @@ class ServingSettings:
         reference event loop) or ``"batched"`` (the array-cohort engine in
         :mod:`repro.execution.serving_vectorized`).  Bit-identical under
         fixed seeds — the engine differential tier asserts it; faulty,
-        noisy, adaptive and autoscaled runs route through the scalar
-        fallback either way.
+        protected, noisy, adaptive, autoscaled and finite-cluster runs
+        route through the scalar fallback either way.
     configuration:
         Explicit initial configuration; when given, ``method`` is skipped
         entirely (no search phase).

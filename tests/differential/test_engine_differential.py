@@ -5,9 +5,9 @@ Every serving scenario is run twice under identical seeds — once with
 ``engine="batched"`` (the cohort-vectorized engine in
 :mod:`repro.execution.serving_vectorized`) — and the results are compared
 *exactly*: per-request dispatch/completion/cost traces, the full metrics
-block and the rendered report.  Faulty, noisy, adaptive and autoscaled
-scenarios route through the batched engine's scalar fallback, and must
-still match byte for byte.  Whatever optimisations the batched engine
+block and the rendered report.  Faulty, protected, noisy, adaptive,
+autoscaled and finite-cluster scenarios route through the batched engine's
+scalar fallback, and must still match byte for byte.  Whatever optimisations the batched engine
 grows, it can never silently diverge from the reference semantics without
 failing here.
 
@@ -99,10 +99,13 @@ class TestQuickDifferential:
             nodes=0,
             seed=90210,
         )
-        assert_equivalent(*run_pair("chatbot", settings))
+        reference, batched = run_pair("chatbot", settings)
+        assert_equivalent(reference, batched)
+        # The batched engine serves uncapped clean runs itself.
+        assert batched.result.fallback_reason == ""
 
-    def test_contended_calendar_path(self):
-        # nodes>0 drives the event-calendar replay (queueing + rejection).
+    def test_contended_cluster_fallback(self):
+        # nodes>0 (queueing + rejection) is served by the scalar engine.
         settings = ServingSettings(
             method="base",
             arrival="poisson",
@@ -111,7 +114,9 @@ class TestQuickDifferential:
             nodes=2,
             seed=90210,
         )
-        assert_equivalent(*run_pair("chatbot", settings))
+        reference, batched = run_pair("chatbot", settings)
+        assert_equivalent(reference, batched)
+        assert batched.result.fallback_reason == "cluster"
 
     def test_queue_capacity_rejections(self):
         settings = ServingSettings(
@@ -126,6 +131,7 @@ class TestQuickDifferential:
         reference, batched = run_pair("chatbot", settings)
         assert_equivalent(reference, batched)
         assert reference.metrics.rejected > 0
+        assert batched.result.fallback_reason == "cluster"
 
     def test_input_aware_multi_config_cohorts(self):
         # Per-class configurations exercise the multi-config pool sweep.

@@ -1,9 +1,8 @@
-"""Tests for the event loop and request-stream simulator."""
+"""Tests for the event loop and the request record."""
 
 import pytest
 
-from repro.execution.events import EventLoop, RequestArrival, RequestStreamSimulator
-from repro.workflow.resources import ResourceConfig, WorkflowConfiguration
+from repro.execution.events import EventLoop, RequestArrival
 
 
 class TestEventLoop:
@@ -57,38 +56,3 @@ class TestRequestArrival:
             RequestArrival(arrival_time=-1.0)
         with pytest.raises(ValueError):
             RequestArrival(arrival_time=0.0, input_scale=0.0)
-
-
-class TestRequestStreamSimulator:
-    def test_runs_each_request_with_selected_configuration(
-        self, diamond_workflow, diamond_executor, diamond_base_configuration
-    ):
-        simulator = RequestStreamSimulator(diamond_executor, diamond_workflow)
-        small = diamond_base_configuration
-        big = WorkflowConfiguration.uniform(
-            diamond_workflow.function_names, ResourceConfig(vcpu=8, memory_mb=4096)
-        )
-        requests = [
-            RequestArrival(arrival_time=0.0, input_scale=1.0, input_class="light"),
-            RequestArrival(arrival_time=10.0, input_scale=2.0, input_class="heavy"),
-        ]
-
-        def dispatch(request):
-            return big if request.input_class == "heavy" else small
-
-        outcomes = simulator.run(requests, dispatch)
-        assert len(outcomes) == 2
-        assert outcomes[0].configuration == small
-        assert outcomes[1].configuration == big
-        assert outcomes[1].trace.record("entry").start_time == 10.0
-        # runtime excludes the arrival offset
-        assert outcomes[1].runtime_seconds == pytest.approx(
-            outcomes[1].trace.end_to_end_latency - 10.0
-        )
-
-    def test_costs_positive(self, diamond_workflow, diamond_executor, diamond_base_configuration):
-        simulator = RequestStreamSimulator(diamond_executor, diamond_workflow)
-        outcomes = simulator.run(
-            [RequestArrival(arrival_time=0.0)], lambda _: diamond_base_configuration
-        )
-        assert outcomes[0].cost > 0

@@ -64,6 +64,10 @@ class TestFleetOptions:
         with pytest.raises(ValueError):
             FleetOptions(priority_reserve_fraction=1.0)
 
+    def test_rejects_negative_queue_capacity(self):
+        with pytest.raises(ValueError, match="queue_capacity cannot be negative"):
+            FleetOptions(queue_capacity=-1)
+
 
 class TestFleetSimulator:
     def test_requires_tenants_with_unique_names(self):
