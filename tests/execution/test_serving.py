@@ -72,34 +72,6 @@ class TestUncontendedServing:
         assert [o.index for o in result.outcomes] == [0, 1, 2, 3]
         assert [o.arrival_time for o in result.outcomes] == [0.0, 2.0, 4.0, 6.0]
 
-    def test_each_request_runs_its_selected_config(
-        self, serving, diamond_workflow, diamond_base_configuration
-    ):
-        # Uncapped and cold-start free, each request replays exactly the
-        # service trace of the configuration dispatched for it.
-        small = diamond_base_configuration
-        big = WorkflowConfiguration.uniform(
-            diamond_workflow.function_names, ResourceConfig(vcpu=8, memory_mb=4096)
-        )
-        requests = [
-            RequestArrival(arrival_time=0.0, input_scale=1.0, input_class="light"),
-            RequestArrival(arrival_time=10.0, input_scale=2.0, input_class="heavy"),
-        ]
-
-        def dispatch(request):
-            return big if request.input_class == "heavy" else small
-
-        options = ServingOptions(simulate_cold_starts=False)
-        outcomes = serving(options=options).run(requests, dispatch).outcomes
-        assert [o.configuration for o in outcomes] == [small, big]
-        for outcome in outcomes:
-            assert outcome.dispatch_time == outcome.arrival_time
-            # latency excludes the arrival offset
-            assert outcome.latency_seconds == pytest.approx(
-                outcome.service_trace.end_to_end_latency
-            )
-            assert outcome.cost == outcome.service_trace.total_cost > 0
-
     def test_rejects_cold_start_simulating_executor(
         self, diamond_workflow, diamond_registry
     ):
