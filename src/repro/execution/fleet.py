@@ -40,7 +40,12 @@ from repro.execution.container import ContainerPool
 from repro.execution.events import EventLoop, RequestArrival
 from repro.execution.instances import spot_eviction_schedule
 from repro.execution.protection import ProtectionGuard, ProtectionPolicy
-from repro.execution.serving import ServedRequest, ServingMetrics, _ClusterLedger, percentile
+from repro.execution.serving import (
+    ServedRequest,
+    ServingMetrics,
+    _ClusterLedger,
+    summarize_serving,
+)
 from repro.execution.trace import ExecutionStatus
 from repro.utils.rng import RngStream, derive_seed
 from repro.workloads.arrivals import merge_request_streams
@@ -752,13 +757,14 @@ class FleetSimulator:
         total_cost = 0.0
         for tenant in self.tenants:
             name = tenant.name
-            metrics = _summarize_tenant(
+            # No ledger: the cluster gauges are fleet-wide, not per tenant.
+            metrics = summarize_serving(
                 outcomes[name],
                 rejected[name],
-                causes[name],
-                offered[name],
                 duration_seconds,
-                runtimes[name].slo,
+                offered[name],
+                slo_limit=runtimes[name].slo.latency_limit,
+                rejection_causes=causes[name],
             )
             total_cost += metrics.total_cost
             controller = self.controllers.get(name)
@@ -787,61 +793,3 @@ class FleetSimulator:
             mean_stretch=(sum(stretches) / len(stretches)) if stretches else 1.0,
             protection_events=guard.drain_events() if guard is not None else [],
         )
-
-
-def _summarize_tenant(
-    outcomes: Sequence[ServedRequest],
-    rejected: Sequence[RequestArrival],
-    causes: Dict[str, int],
-    offered: int,
-    duration_seconds: float,
-    slo: Optional[SLO],
-) -> ServingMetrics:
-    """Per-tenant :class:`ServingMetrics` (fleet-wide gauges zeroed)."""
-    latencies = [o.latency_seconds for o in outcomes]
-    queueing = [o.queueing_delay for o in outcomes]
-    costs = [o.cost for o in outcomes]
-    completed = len(outcomes)
-    makespan = max((o.completion_time for o in outcomes), default=0.0)
-    slo_limit = slo.latency_limit if slo is not None else None
-    attainment: Optional[float] = None
-    if slo_limit is not None and completed:
-        attainment = sum(1 for l in latencies if l <= slo_limit) / completed
-    successes = sum(1 for o in outcomes if o.succeeded)
-    return ServingMetrics(
-        duration_seconds=duration_seconds,
-        offered=offered,
-        completed=completed,
-        rejected=len(rejected),
-        failed=sum(1 for o in outcomes if not o.succeeded),
-        makespan_seconds=makespan,
-        offered_rate_rps=offered / duration_seconds if duration_seconds > 0 else 0.0,
-        throughput_rps=completed / makespan if makespan > 0 else 0.0,
-        latency_mean_seconds=sum(latencies) / completed if completed else float("nan"),
-        latency_p50_seconds=percentile(latencies, 50),
-        latency_p95_seconds=percentile(latencies, 95),
-        latency_p99_seconds=percentile(latencies, 99),
-        latency_max_seconds=max(latencies) if completed else float("nan"),
-        queueing_mean_seconds=sum(queueing) / completed if completed else float("nan"),
-        queueing_p95_seconds=percentile(queueing, 95),
-        queueing_max_seconds=max(queueing) if completed else float("nan"),
-        slo_limit_seconds=slo_limit,
-        slo_attainment=attainment,
-        cold_start_request_rate=(
-            sum(1 for o in outcomes if o.cold_start_count > 0) / completed
-            if completed
-            else 0.0
-        ),
-        cold_start_invocations=sum(o.cold_start_count for o in outcomes),
-        mean_cost_per_request=sum(costs) / completed if completed else float("nan"),
-        total_cost=sum(costs),
-        cpu_utilization=None,
-        memory_utilization=None,
-        peak_concurrency=0,
-        mean_concurrency=0.0,
-        goodput_rps=successes / makespan if makespan > 0 else 0.0,
-        availability=successes / offered if offered else 1.0,
-        wasted_seconds=sum(o.wasted_seconds for o in outcomes),
-        node_failures=0,
-        rejected_by_cause=dict(causes),
-    )

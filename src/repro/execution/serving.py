@@ -64,6 +64,7 @@ __all__ = [
     "ServingResult",
     "ServingSimulator",
     "percentile",
+    "summarize_serving",
 ]
 
 
@@ -1588,8 +1589,10 @@ class ServingSimulator:
         loop.run()
         ledger.advance(loop.now)
         outcomes.sort(key=lambda o: o.index)
-        metrics = self._summarize(
-            outcomes, rejected, ledger, duration_seconds, len(request_list),
+        metrics = summarize_serving(
+            outcomes, rejected, duration_seconds, len(request_list),
+            slo_limit=self.slo.latency_limit if self.slo is not None else None,
+            ledger=ledger,
             node_failures=node_failure_count,
             rejection_causes=rejection_causes,
         )
@@ -1609,82 +1612,91 @@ class ServingSimulator:
             protection_events=protection_events,
         )
 
-    # -- metrics ---------------------------------------------------------------
-    def _summarize(
-        self,
-        outcomes: Sequence[ServedRequest],
-        rejected: Sequence[RequestArrival],
-        ledger: _ClusterLedger,
-        duration_seconds: float,
-        offered: int,
-        node_failures: int = 0,
-        rejection_causes: Optional[Dict[str, int]] = None,
-    ) -> ServingMetrics:
-        latencies = [o.latency_seconds for o in outcomes]
-        queueing = [o.queueing_delay for o in outcomes]
-        costs = [o.cost for o in outcomes]
-        # Sort once per metric list (numpy sorts the same float values the
-        # builtin would, and the nearest-rank lookup only reads elements) —
-        # three percentile calls per list would re-sort each time.
-        latencies_sorted = np.sort(np.asarray(latencies, dtype=np.float64))
-        queueing_sorted = np.sort(np.asarray(queueing, dtype=np.float64))
-        completed = len(outcomes)
-        makespan = max((o.completion_time for o in outcomes), default=0.0)
-        slo_limit = self.slo.latency_limit if self.slo is not None else None
-        attainment: Optional[float] = None
-        if slo_limit is not None and completed:
-            attainment = sum(1 for l in latencies if l <= slo_limit) / completed
+
+def summarize_serving(
+    outcomes: Sequence[ServedRequest],
+    rejected: Sequence[RequestArrival],
+    duration_seconds: float,
+    offered: int,
+    slo_limit: Optional[float],
+    ledger: Optional[_ClusterLedger] = None,
+    node_failures: int = 0,
+    rejection_causes: Optional[Dict[str, int]] = None,
+) -> ServingMetrics:
+    """:class:`ServingMetrics` of one run's served and rejected requests.
+
+    ``ledger`` supplies the cluster gauges (utilization and concurrency);
+    ``None`` leaves them unset, as for a fleet tenant that shares its
+    cluster with others.
+    """
+    latencies = [o.latency_seconds for o in outcomes]
+    queueing = [o.queueing_delay for o in outcomes]
+    costs = [o.cost for o in outcomes]
+    # Sort once per metric list (numpy sorts the same float values the
+    # builtin would, and the nearest-rank lookup only reads elements) —
+    # three percentile calls per list would re-sort each time.
+    latencies_sorted = np.sort(np.asarray(latencies, dtype=np.float64))
+    queueing_sorted = np.sort(np.asarray(queueing, dtype=np.float64))
+    completed = len(outcomes)
+    makespan = max((o.completion_time for o in outcomes), default=0.0)
+    attainment: Optional[float] = None
+    if slo_limit is not None and completed:
+        attainment = sum(1 for l in latencies if l <= slo_limit) / completed
+    cpu_util: Optional[float] = None
+    mem_util: Optional[float] = None
+    mean_concurrency = 0.0
+    if ledger is not None:
         cpu_util, mem_util, mean_concurrency = ledger.utilization()
-        successes = sum(1 for o in outcomes if o.succeeded)
-        total_attempts = sum(o.attempts for o in outcomes)
-        total_base = sum(o.base_invocations for o in outcomes)
-        if rejection_causes is None:
-            # Callers predating the protection layer (e.g. the batched
-            # engine) reject only on queue pressure.
-            rejection_causes = {"queue-full": len(rejected)} if rejected else {}
-        return ServingMetrics(
-            duration_seconds=duration_seconds,
-            offered=offered,
-            completed=completed,
-            rejected=len(rejected),
-            failed=sum(1 for o in outcomes if not o.succeeded),
-            makespan_seconds=makespan,
-            offered_rate_rps=offered / duration_seconds if duration_seconds > 0 else 0.0,
-            throughput_rps=completed / makespan if makespan > 0 else 0.0,
-            latency_mean_seconds=sum(latencies) / completed if completed else float("nan"),
-            latency_p50_seconds=_nearest_rank(latencies_sorted, 50),
-            latency_p95_seconds=_nearest_rank(latencies_sorted, 95),
-            latency_p99_seconds=_nearest_rank(latencies_sorted, 99),
-            latency_max_seconds=float(latencies_sorted[-1]) if completed else float("nan"),
-            queueing_mean_seconds=sum(queueing) / completed if completed else float("nan"),
-            queueing_p95_seconds=_nearest_rank(queueing_sorted, 95),
-            queueing_max_seconds=float(queueing_sorted[-1]) if completed else float("nan"),
-            slo_limit_seconds=slo_limit,
-            slo_attainment=attainment,
-            cold_start_request_rate=(
-                sum(1 for o in outcomes if o.cold_start_count > 0) / completed
-                if completed
-                else 0.0
-            ),
-            cold_start_invocations=sum(o.cold_start_count for o in outcomes),
-            mean_cost_per_request=sum(costs) / completed if completed else float("nan"),
-            total_cost=sum(costs),
-            cpu_utilization=cpu_util,
-            memory_utilization=mem_util,
-            peak_concurrency=ledger.peak_active,
-            mean_concurrency=mean_concurrency,
-            goodput_rps=successes / makespan if makespan > 0 else 0.0,
-            availability=successes / offered if offered else 1.0,
-            retry_amplification=(
-                total_attempts / total_base if total_base else 1.0
-            ),
-            wasted_seconds=sum(o.wasted_seconds for o in outcomes),
-            wasted_gb_seconds=sum(o.wasted_gb_seconds for o in outcomes),
-            faults_injected=sum(
-                sum(o.fault_counts.values()) for o in outcomes
-            ),
-            node_failures=node_failures,
-            rejected_by_cause=dict(rejection_causes),
-            hedges_launched=sum(o.hedges for o in outcomes),
-            hedge_wins=sum(o.hedge_wins for o in outcomes),
-        )
+    successes = sum(1 for o in outcomes if o.succeeded)
+    total_attempts = sum(o.attempts for o in outcomes)
+    total_base = sum(o.base_invocations for o in outcomes)
+    if rejection_causes is None:
+        # Callers predating the protection layer (e.g. the batched
+        # engine) reject only on queue pressure.
+        rejection_causes = {"queue-full": len(rejected)} if rejected else {}
+    return ServingMetrics(
+        duration_seconds=duration_seconds,
+        offered=offered,
+        completed=completed,
+        rejected=len(rejected),
+        failed=sum(1 for o in outcomes if not o.succeeded),
+        makespan_seconds=makespan,
+        offered_rate_rps=offered / duration_seconds if duration_seconds > 0 else 0.0,
+        throughput_rps=completed / makespan if makespan > 0 else 0.0,
+        latency_mean_seconds=sum(latencies) / completed if completed else float("nan"),
+        latency_p50_seconds=_nearest_rank(latencies_sorted, 50),
+        latency_p95_seconds=_nearest_rank(latencies_sorted, 95),
+        latency_p99_seconds=_nearest_rank(latencies_sorted, 99),
+        latency_max_seconds=float(latencies_sorted[-1]) if completed else float("nan"),
+        queueing_mean_seconds=sum(queueing) / completed if completed else float("nan"),
+        queueing_p95_seconds=_nearest_rank(queueing_sorted, 95),
+        queueing_max_seconds=float(queueing_sorted[-1]) if completed else float("nan"),
+        slo_limit_seconds=slo_limit,
+        slo_attainment=attainment,
+        cold_start_request_rate=(
+            sum(1 for o in outcomes if o.cold_start_count > 0) / completed
+            if completed
+            else 0.0
+        ),
+        cold_start_invocations=sum(o.cold_start_count for o in outcomes),
+        mean_cost_per_request=sum(costs) / completed if completed else float("nan"),
+        total_cost=sum(costs),
+        cpu_utilization=cpu_util,
+        memory_utilization=mem_util,
+        peak_concurrency=ledger.peak_active if ledger is not None else 0,
+        mean_concurrency=mean_concurrency,
+        goodput_rps=successes / makespan if makespan > 0 else 0.0,
+        availability=successes / offered if offered else 1.0,
+        retry_amplification=(
+            total_attempts / total_base if total_base else 1.0
+        ),
+        wasted_seconds=sum(o.wasted_seconds for o in outcomes),
+        wasted_gb_seconds=sum(o.wasted_gb_seconds for o in outcomes),
+        faults_injected=sum(
+            sum(o.fault_counts.values()) for o in outcomes
+        ),
+        node_failures=node_failures,
+        rejected_by_cause=dict(rejection_causes),
+        hedges_launched=sum(o.hedges for o in outcomes),
+        hedge_wins=sum(o.hedge_wins for o in outcomes),
+    )

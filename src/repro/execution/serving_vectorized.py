@@ -52,6 +52,7 @@ from repro.execution.serving import (
     ServingResult,
     ServingSimulator,
     _ClusterLedger,
+    summarize_serving,
 )
 from repro.execution.trace import ExecutionStatus
 from repro.utils.logging import get_logger
@@ -421,7 +422,11 @@ class BatchedServingSimulator:
             stats.evictions += pool_evicted
 
         ledger = self._replay_ledger(arrivals, completion)
-        metrics = scalar._summarize(outcomes, [], ledger, duration_seconds, n)
+        metrics = summarize_serving(
+            outcomes, [], duration_seconds, n,
+            slo_limit=self.slo.latency_limit if self.slo is not None else None,
+            ledger=ledger,
+        )
         return ServingResult(outcomes=outcomes, rejected=[], metrics=metrics)
 
     def _sweep_function(

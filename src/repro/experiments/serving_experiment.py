@@ -363,15 +363,7 @@ def run_serving_experiment(
             arrival=settings.arrival, rate_rps=settings.rate_rps
         )
     traffic_rng = RngStream(settings.seed, f"traffic/{workload.name}")
-    if settings.engine == "batched":
-        # The array path draws the same RngStream children as the scalar
-        # iterator, element-for-element (property-tested), so the request
-        # stream is identical — just generated in vectorized chunks.
-        requests = traffic.generate_batch(
-            settings.duration_seconds, traffic_rng
-        ).to_requests()
-    else:
-        requests = traffic.generate(settings.duration_seconds, traffic_rng)
+    requests = traffic.generate(settings.duration_seconds, traffic_rng)
 
     controller = None
     if settings.adaptive:

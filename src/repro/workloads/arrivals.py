@@ -9,7 +9,14 @@ one with a mix of input classes and emits the
 flows through :class:`~repro.utils.rng.RngStream` children, so a traffic
 model is bit-reproducible under a fixed seed.
 
-Five processes are built in:
+Each process has exactly one generator,
+:meth:`ArrivalProcess.arrival_times`, which returns a float64 array;
+:meth:`TrafficModel.generate_batch` builds the columnar
+:class:`ArrivalBatch` from it and :meth:`TrafficModel.generate` is that
+batch as ``RequestArrival`` objects, so every serving engine replays the
+same stream.
+
+Six processes are built in:
 
 * ``constant`` — evenly spaced arrivals at a fixed rate.
 * ``poisson`` — memoryless arrivals (exponential gaps).
@@ -80,14 +87,14 @@ def _exponential_run(
 ) -> np.ndarray:
     """Cumulative exponential arrivals from ``start``, strictly below ``limit``.
 
-    Vectorized twin of the scalar loop ``t += gen.exponential(scale)``:
-    gaps are drawn in chunks and accumulated with ``np.cumsum`` (both are
-    bit-identical to per-draw arithmetic), and once a chunk crosses
-    ``limit`` the generator state is rewound and exactly the consumed
-    number of gaps is redrawn.  That leaves ``generator`` in precisely the
-    state the scalar loop would — the crossing draw consumed, nothing
-    after it — which matters when the same stream supplies later draws
-    (e.g. the bursty process's state-holding times).
+    The values of the loop ``t += gen.exponential(scale)`` while
+    ``t < limit``: gaps are drawn in chunks and accumulated with
+    ``np.cumsum`` (both bit-identical to per-draw arithmetic), and once a
+    chunk crosses ``limit`` the generator state is rewound and exactly the
+    consumed number of gaps is redrawn.  That leaves ``generator`` with the
+    crossing draw consumed and nothing after it, which matters when the
+    same stream supplies later draws (the bursty process's state-holding
+    times) and keeps committed seeded streams stable.
     """
     parts: List[np.ndarray] = []
     t = float(start)
@@ -103,13 +110,29 @@ def _exponential_run(
             size *= 2
             continue
         # First index at or past the horizon ends the run; rewind and
-        # replay exactly the draws the scalar loop would have consumed.
+        # redraw exactly the gaps up to and including the crossing one.
         crossing = int(np.searchsorted(cumulative, limit, side="left"))
         generator.bit_generator.state = state
         gaps = generator.exponential(scale, size=crossing + 1)
         cumulative = np.cumsum(np.concatenate(([t], gaps)))[1:]
         parts.append(cumulative[:crossing])
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
+
+
+def _finite(name: str, value: float) -> float:
+    """``value`` as a float; NaN and infinities are rejected."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _finite_positive(name: str, value: float) -> float:
+    """``value`` as a float; it must be finite and positive."""
+    value = _finite(name, value)
+    if value <= 0:
+        raise ValueError(f"{name} must be positive")
+    return value
 
 
 class ArrivalProcess(abc.ABC):
@@ -121,28 +144,12 @@ class ArrivalProcess(abc.ABC):
     @abc.abstractmethod
     def arrival_times(
         self, duration_seconds: float, rng: Optional[RngStream] = None
-    ) -> List[float]:
-        """Strictly increasing-or-equal timestamps in ``[0, duration)``."""
-
-    def arrival_times_array(
-        self, duration_seconds: float, rng: Optional[RngStream] = None
     ) -> np.ndarray:
-        """Vectorized :meth:`arrival_times`: same values, same rng draws.
-
-        Subclasses override this with an array fast path; the contract —
-        element-wise identical timestamps *and* identical generator state
-        afterwards — is enforced by the arrival property tests.  The base
-        implementation simply wraps the scalar loop.
-        """
-        return np.asarray(
-            self.arrival_times(duration_seconds, rng), dtype=np.float64
-        )
+        """Non-decreasing float64 timestamps in ``[0, duration)``."""
 
     @staticmethod
     def _check_duration(duration_seconds: float) -> float:
-        if duration_seconds <= 0:
-            raise ValueError("duration_seconds must be positive")
-        return float(duration_seconds)
+        return _finite_positive("duration_seconds", duration_seconds)
 
     @staticmethod
     def _require_rng(rng: Optional[RngStream], name: str) -> RngStream:
@@ -161,30 +168,16 @@ class ConstantRateArrivals(ArrivalProcess):
     name = "constant"
 
     def __init__(self, rate_rps: float) -> None:
-        if rate_rps <= 0:
-            raise ValueError("rate_rps must be positive")
-        self.rate_rps = float(rate_rps)
+        self.rate_rps = _finite_positive("rate_rps", rate_rps)
 
     def arrival_times(
-        self, duration_seconds: float, rng: Optional[RngStream] = None
-    ) -> List[float]:
-        duration = self._check_duration(duration_seconds)
-        gap = 1.0 / self.rate_rps
-        times: List[float] = []
-        index = 0
-        while index * gap < duration:
-            times.append(index * gap)
-            index += 1
-        return times
-
-    def arrival_times_array(
         self, duration_seconds: float, rng: Optional[RngStream] = None
     ) -> np.ndarray:
         duration = self._check_duration(duration_seconds)
         gap = 1.0 / self.rate_rps
-        # index * gap per element is the exact arithmetic of the scalar
-        # loop; the candidate count only needs to over-cover the horizon
-        # because the predicate below decides membership.
+        # Arrival i is at i * gap; the candidate count only needs to
+        # over-cover the horizon because the predicate below decides
+        # membership.
         count = int(duration * self.rate_rps) + 2
         while (count - 1) * gap < duration:
             count *= 2
@@ -201,23 +194,9 @@ class PoissonArrivals(ArrivalProcess):
     name = "poisson"
 
     def __init__(self, rate_rps: float) -> None:
-        if rate_rps <= 0:
-            raise ValueError("rate_rps must be positive")
-        self.rate_rps = float(rate_rps)
+        self.rate_rps = _finite_positive("rate_rps", rate_rps)
 
     def arrival_times(
-        self, duration_seconds: float, rng: Optional[RngStream] = None
-    ) -> List[float]:
-        duration = self._check_duration(duration_seconds)
-        stream = self._require_rng(rng, self.name)
-        times: List[float] = []
-        t = stream.exponential(1.0 / self.rate_rps)
-        while t < duration:
-            times.append(t)
-            t += stream.exponential(1.0 / self.rate_rps)
-        return times
-
-    def arrival_times_array(
         self, duration_seconds: float, rng: Optional[RngStream] = None
     ) -> np.ndarray:
         duration = self._check_duration(duration_seconds)
@@ -248,40 +227,18 @@ class BurstyArrivals(ArrivalProcess):
         mean_calm_seconds: float = 120.0,
         mean_burst_seconds: float = 30.0,
     ) -> None:
-        if base_rate_rps <= 0:
-            raise ValueError("base_rate_rps must be positive")
-        if burst_multiplier < 1:
+        self.base_rate_rps = _finite_positive("base_rate_rps", base_rate_rps)
+        self.burst_multiplier = _finite("burst_multiplier", burst_multiplier)
+        if self.burst_multiplier < 1:
             raise ValueError("burst_multiplier must be at least 1")
-        if mean_calm_seconds <= 0 or mean_burst_seconds <= 0:
-            raise ValueError("state holding times must be positive")
-        self.base_rate_rps = float(base_rate_rps)
-        self.burst_multiplier = float(burst_multiplier)
-        self.mean_calm_seconds = float(mean_calm_seconds)
-        self.mean_burst_seconds = float(mean_burst_seconds)
+        self.mean_calm_seconds = _finite_positive(
+            "mean_calm_seconds", mean_calm_seconds
+        )
+        self.mean_burst_seconds = _finite_positive(
+            "mean_burst_seconds", mean_burst_seconds
+        )
 
     def arrival_times(
-        self, duration_seconds: float, rng: Optional[RngStream] = None
-    ) -> List[float]:
-        duration = self._check_duration(duration_seconds)
-        stream = self._require_rng(rng, self.name)
-        times: List[float] = []
-        t = 0.0
-        burst = False
-        while t < duration:
-            rate = self.base_rate_rps * (self.burst_multiplier if burst else 1.0)
-            hold = stream.exponential(
-                self.mean_burst_seconds if burst else self.mean_calm_seconds
-            )
-            state_end = min(t + hold, duration)
-            arrival = t + stream.exponential(1.0 / rate)
-            while arrival < state_end:
-                times.append(arrival)
-                arrival += stream.exponential(1.0 / rate)
-            t = state_end
-            burst = not burst
-        return times
-
-    def arrival_times_array(
         self, duration_seconds: float, rng: Optional[RngStream] = None
     ) -> np.ndarray:
         duration = self._check_duration(duration_seconds)
@@ -291,8 +248,8 @@ class BurstyArrivals(ArrivalProcess):
         t = 0.0
         burst = False
         # The hold draw and the gap draws interleave on one stream, so each
-        # state's gap run must consume *exactly* the scalar draw count —
-        # which _exponential_run guarantees by rewind-and-replay.
+        # state's gap run must stop right after its crossing draw, which
+        # _exponential_run guarantees by rewind-and-replay.
         while t < duration:
             rate = self.base_rate_rps * (self.burst_multiplier if burst else 1.0)
             hold = float(
@@ -334,16 +291,12 @@ class DiurnalArrivals(ArrivalProcess):
         period_seconds: float = 86400.0,
         phase_seconds: float = 0.0,
     ) -> None:
-        if mean_rate_rps <= 0:
-            raise ValueError("mean_rate_rps must be positive")
-        if not 0 <= amplitude < 1:
+        self.mean_rate_rps = _finite_positive("mean_rate_rps", mean_rate_rps)
+        self.amplitude = _finite("amplitude", amplitude)
+        if not 0 <= self.amplitude < 1:
             raise ValueError("amplitude must be in [0, 1)")
-        if period_seconds <= 0:
-            raise ValueError("period_seconds must be positive")
-        self.mean_rate_rps = float(mean_rate_rps)
-        self.amplitude = float(amplitude)
-        self.period_seconds = float(period_seconds)
-        self.phase_seconds = float(phase_seconds)
+        self.period_seconds = _finite_positive("period_seconds", period_seconds)
+        self.phase_seconds = _finite("phase_seconds", phase_seconds)
 
     def rate_at(self, t: float) -> float:
         """Instantaneous arrival rate at simulated time ``t``."""
@@ -352,29 +305,14 @@ class DiurnalArrivals(ArrivalProcess):
 
     def arrival_times(
         self, duration_seconds: float, rng: Optional[RngStream] = None
-    ) -> List[float]:
-        duration = self._check_duration(duration_seconds)
-        stream = self._require_rng(rng, self.name)
-        peak = self.mean_rate_rps * (1.0 + self.amplitude)
-        times: List[float] = []
-        t = stream.exponential(1.0 / peak)
-        while t < duration:
-            if stream.uniform() * peak <= self.rate_at(t):
-                times.append(t)
-            t += stream.exponential(1.0 / peak)
-        return times
-
-    def arrival_times_array(
-        self, duration_seconds: float, rng: Optional[RngStream] = None
     ) -> np.ndarray:
         duration = self._check_duration(duration_seconds)
         stream = self._require_rng(rng, self.name)
         # Thinning strictly alternates uniform and exponential draws on one
         # stream, and the exponential's ziggurat consumes a variable number
-        # of raw words per draw — so there is no block-batched draw order
-        # that reproduces the scalar stream.  Keep the scalar draw order on
-        # the raw generator (skipping the per-draw wrapper overhead) so the
-        # array path stays bit-identical.
+        # of raw words per draw, so no block-batched draw order reproduces
+        # the seeded stream.  Draw one at a time on the raw generator
+        # (skipping the per-draw wrapper overhead).
         generator = stream.generator
         exponential = generator.exponential
         uniform = generator.uniform
@@ -418,12 +356,6 @@ class TraceArrivals(ArrivalProcess):
         self.times = times
 
     def arrival_times(
-        self, duration_seconds: float, rng: Optional[RngStream] = None
-    ) -> List[float]:
-        duration = self._check_duration(duration_seconds)
-        return [t for t in self.times if t < duration]
-
-    def arrival_times_array(
         self, duration_seconds: float, rng: Optional[RngStream] = None
     ) -> np.ndarray:
         duration = self._check_duration(duration_seconds)
@@ -470,8 +402,7 @@ class ReplayArrivals(ArrivalProcess):
     name = "replay"
 
     def __init__(self, counts: Sequence[float], bin_seconds: float = 60.0) -> None:
-        if bin_seconds <= 0:
-            raise ValueError("bin_seconds must be positive")
+        bin_seconds = _finite_positive("bin_seconds", bin_seconds)
         cleaned: List[int] = []
         for index, raw in enumerate(counts):
             value = float(raw)
@@ -503,28 +434,10 @@ class ReplayArrivals(ArrivalProcess):
 
     def arrival_times(
         self, duration_seconds: float, rng: Optional[RngStream] = None
-    ) -> List[float]:
-        duration = self._check_duration(duration_seconds)
-        times: List[float] = []
-        for index, count in enumerate(self.counts):
-            if count <= 0:
-                continue
-            start = index * self.bin_seconds
-            gap = self.bin_seconds / count
-            for j in range(count):
-                t = start + j * gap
-                if t >= duration:
-                    return times
-                times.append(t)
-        return times
-
-    def arrival_times_array(
-        self, duration_seconds: float, rng: Optional[RngStream] = None
     ) -> np.ndarray:
         duration = self._check_duration(duration_seconds)
         parts: List[np.ndarray] = []
-        # Same arithmetic per element as the scalar loop (start + j * gap),
-        # just built a bin at a time.
+        # Arrival j of a bin is at start + j * gap, built a bin at a time.
         for index, count in enumerate(self.counts):
             if count <= 0:
                 continue
@@ -705,12 +618,11 @@ def build_arrival_process(profile: TrafficProfile) -> ArrivalProcess:
 
 @dataclass
 class ArrivalBatch:
-    """Columnar request stream: the array twin of a ``RequestArrival`` list.
+    """Columnar request stream, the form every traffic model generates.
 
     ``times``/``scales`` are float64 arrays, ``class_ids`` indexes into
-    ``classes`` per arrival.  ``to_requests`` materializes the exact
-    ``RequestArrival`` objects the scalar generator would produce, so the
-    two representations are interchangeable anywhere determinism matters.
+    ``classes`` per arrival.  ``to_requests`` materializes the same stream
+    as ``RequestArrival`` objects for the serving engines.
     """
 
     times: np.ndarray
@@ -722,7 +634,7 @@ class ArrivalBatch:
         return int(self.times.shape[0])
 
     def to_requests(self) -> List[RequestArrival]:
-        """Materialize the scalar-equivalent ``RequestArrival`` list."""
+        """Materialize the stream as a ``RequestArrival`` list."""
         names = [c.name for c in self.classes]
         return [
             RequestArrival(
@@ -786,54 +698,24 @@ class TrafficModel:
             build_arrival_process(profile), classes=classes, weights=profile.class_weights
         )
 
-    def _pick_class(self, u: float) -> InputClass:
-        cumulative = 0.0
-        for input_class, weight in zip(self.classes, self.weights):
-            cumulative += weight
-            if u < cumulative:
-                return input_class
-        # Float cumulative sums can total just under 1.0 and let ``u`` fall
-        # through; land on the last *positive-weight* class so a zero-weight
-        # class is never emitted.
-        return self.classes[self._last_positive]
-
     def generate(
         self, duration_seconds: float, rng: Optional[RngStream] = None
     ) -> List[RequestArrival]:
         """Generate the request stream for one serving run."""
-        arrival_rng = rng.child("arrivals") if rng is not None else None
-        class_rng = rng.child("classes") if rng is not None else None
-        times = self.process.arrival_times(duration_seconds, arrival_rng)
-        requests: List[RequestArrival] = []
-        for time in times:
-            if len(self.classes) == 1:
-                input_class = self.classes[0]
-            else:
-                if class_rng is None:
-                    raise ValueError("mixing several input classes requires an rng")
-                input_class = self._pick_class(class_rng.uniform())
-            requests.append(
-                RequestArrival(
-                    arrival_time=time,
-                    input_scale=input_class.scale,
-                    input_class=input_class.name,
-                )
-            )
-        return requests
+        return self.generate_batch(duration_seconds, rng).to_requests()
 
     def generate_batch(
         self, duration_seconds: float, rng: Optional[RngStream] = None
     ) -> ArrivalBatch:
-        """Array-path :meth:`generate`: identical stream, columnar layout.
+        """Generate the request stream for one serving run, columnar.
 
-        Uses the same ``rng`` children ("arrivals" for timestamps,
-        "classes" for the mix) with the same draw counts, so the batch is
-        element-wise identical to the scalar request list under a fixed
-        seed.
+        Timestamps come from the ``rng`` child "arrivals" and the class
+        mix from the child "classes" (one uniform draw per arrival, and
+        none when there is a single class).
         """
         arrival_rng = rng.child("arrivals") if rng is not None else None
         class_rng = rng.child("classes") if rng is not None else None
-        times = self.process.arrival_times_array(duration_seconds, arrival_rng)
+        times = self.process.arrival_times(duration_seconds, arrival_rng)
         count = int(times.shape[0])
         if len(self.classes) == 1:
             class_ids = np.zeros(count, dtype=np.intp)
@@ -842,9 +724,9 @@ class TrafficModel:
             if class_rng is None:
                 raise ValueError("mixing several input classes requires an rng")
             draws = class_rng.generator.uniform(0.0, 1.0, size=count)
-            # np.cumsum matches _pick_class's running sum bit for bit, and
-            # side="right" is exactly its ``u < cumulative`` rule; the clip
-            # reproduces the fall-back to the last positive-weight class.
+            # A draw picks the first class whose cumulative weight exceeds
+            # it (side="right"); the clip lands draws past the float sum on
+            # the last positive-weight class.
             cumulative = np.cumsum(np.asarray(self.weights, dtype=np.float64))
             class_ids = np.minimum(
                 np.searchsorted(cumulative, draws, side="right"),
@@ -881,7 +763,7 @@ class TrafficPhase:
     profile: TrafficProfile
 
     def __post_init__(self) -> None:
-        if self.start_seconds < 0:
+        if _finite("start_seconds", self.start_seconds) < 0:
             raise ValueError("start_seconds cannot be negative")
 
 
@@ -946,39 +828,17 @@ class DriftingTrafficModel:
         self, duration_seconds: float, rng: Optional[RngStream] = None
     ) -> List[RequestArrival]:
         """Generate the full request stream across every phase segment."""
-        if duration_seconds <= 0:
-            raise ValueError("duration_seconds must be positive")
-        requests: List[RequestArrival] = []
-        for index, (phase, start, end) in enumerate(
-            self.phase_bounds(duration_seconds)
-        ):
-            segment = end - start
-            if segment <= 0:
-                continue
-            model = TrafficModel.from_profile(phase.profile, classes=self.classes)
-            phase_rng = rng.child("phase", index, phase.name) if rng is not None else None
-            for request in model.generate(segment, phase_rng):
-                requests.append(
-                    RequestArrival(
-                        arrival_time=start + request.arrival_time,
-                        input_scale=request.input_scale,
-                        input_class=request.input_class,
-                    )
-                )
-        return requests
+        return self.generate_batch(duration_seconds, rng).to_requests()
 
     def generate_batch(
         self, duration_seconds: float, rng: Optional[RngStream] = None
     ) -> ArrivalBatch:
-        """Array-path :meth:`generate`: phase segments batched then offset.
+        """Generate every phase segment, offset to its start, columnar.
 
-        Each phase uses the same ``rng.child("phase", index, name)`` stream
-        as the scalar generator, and the offset ``start + t`` is the same
-        per-element addition — so the concatenated batch is element-wise
-        identical to the scalar stream, including across phase boundaries.
+        Phase ``index`` draws from ``rng.child("phase", index, name)``, so
+        editing one phase never perturbs another.
         """
-        if duration_seconds <= 0:
-            raise ValueError("duration_seconds must be positive")
+        duration_seconds = _finite_positive("duration_seconds", duration_seconds)
         times_parts: List[np.ndarray] = []
         scales_parts: List[np.ndarray] = []
         ids_parts: List[np.ndarray] = []

@@ -250,7 +250,7 @@ class TestEngineFactory:
             RequestArrival(t)
             for t in PoissonArrivals(0.5).arrival_times(
                 30.0, RngStream(7, "arrivals")
-            )
+            ).tolist()
         ]
         reference = ServingSimulator(**self._kwargs(workload))
         expected = reference.run(

@@ -69,6 +69,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--arrival", "tidal"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--rate", "nan"],
+            ["serve", "--duration", "inf"],
+            ["serve", "--rate", "0"],
+            ["scenarios", "--rate", "nan"],
+            ["scenarios", "--duration", "-5"],
+            ["fleet", "--duration", "nan"],
+        ],
+    )
+    def test_non_finite_or_non_positive_float_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "must be a finite number above 0" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_workloads_lists_benchmarks(self, capsys):

@@ -28,7 +28,7 @@ from repro.workloads.registry import get_workload
 
 class TestConstantRate:
     def test_evenly_spaced_within_horizon(self):
-        times = ConstantRateArrivals(2.0).arrival_times(5.0)
+        times = ConstantRateArrivals(2.0).arrival_times(5.0).tolist()
         assert times == [i * 0.5 for i in range(10)]
         assert all(t < 5.0 for t in times)
 
@@ -39,7 +39,7 @@ class TestConstantRate:
 
 class TestPoisson:
     def test_rate_is_roughly_honoured(self):
-        times = PoissonArrivals(10.0).arrival_times(1000.0, RngStream(1, "t"))
+        times = PoissonArrivals(10.0).arrival_times(1000.0, RngStream(1, "t")).tolist()
         assert 8000 < len(times) < 12000
         assert all(0 <= t < 1000.0 for t in times)
         assert times == sorted(times)
@@ -51,7 +51,7 @@ class TestPoisson:
     def test_deterministic_under_seed(self):
         a = PoissonArrivals(5.0).arrival_times(100.0, RngStream(7, "t"))
         b = PoissonArrivals(5.0).arrival_times(100.0, RngStream(7, "t"))
-        assert a == b
+        assert a.tolist() == b.tolist()
 
 
 class TestBursty:
@@ -61,7 +61,7 @@ class TestBursty:
         )
         bursting = BurstyArrivals(1.0, burst_multiplier=8.0).arrival_times(
             2000.0, RngStream(3, "t")
-        )
+        ).tolist()
         assert len(bursting) > len(calm_only)
         assert all(0 <= t < 2000.0 for t in bursting)
         assert bursting == sorted(bursting)
@@ -93,7 +93,7 @@ class TestDiurnal:
 class TestTraceReplay:
     def test_clips_to_duration(self):
         process = TraceArrivals([0.0, 1.0, 2.5, 9.0])
-        assert process.arrival_times(3.0) == [0.0, 1.0, 2.5]
+        assert process.arrival_times(3.0).tolist() == [0.0, 1.0, 2.5]
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
@@ -336,6 +336,48 @@ class TestNonFiniteTraceValidation:
                 load_trace_times(str(path))
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ConstantRateArrivals(NAN),
+            lambda: ConstantRateArrivals(INF),
+            lambda: PoissonArrivals(NAN),
+            lambda: PoissonArrivals(INF),
+            lambda: BurstyArrivals(NAN),
+            lambda: BurstyArrivals(INF),
+            lambda: BurstyArrivals(1.0, burst_multiplier=NAN),
+            lambda: BurstyArrivals(1.0, burst_multiplier=INF),
+            lambda: BurstyArrivals(1.0, mean_calm_seconds=INF),
+            lambda: BurstyArrivals(1.0, mean_burst_seconds=NAN),
+            lambda: DiurnalArrivals(INF),
+            lambda: DiurnalArrivals(NAN),
+            lambda: DiurnalArrivals(1.0, amplitude=NAN),
+            lambda: DiurnalArrivals(1.0, period_seconds=NAN),
+            lambda: DiurnalArrivals(1.0, period_seconds=INF),
+            lambda: DiurnalArrivals(1.0, phase_seconds=INF),
+            lambda: ReplayArrivals([3, 2], bin_seconds=NAN),
+            lambda: ReplayArrivals([3, 2], bin_seconds=INF),
+            lambda: TrafficPhase("p", NAN, TrafficProfile()),
+            lambda: ConstantRateArrivals(1.0).arrival_times(NAN),
+            lambda: PoissonArrivals(1.0).arrival_times(INF, RngStream(1, "t")),
+            lambda: TraceArrivals([0.0, 1.0]).arrival_times(NAN),
+            lambda: DriftingTrafficModel(
+                [TrafficPhase("p", 0.0, TrafficProfile(arrival="constant"))]
+            ).generate(NAN),
+        ],
+    )
+    def test_rejected_with_a_clear_error(self, build):
+        # NaN fails every comparison and infinity never ends a loop, so
+        # these used to hang, crash deep inside, or yield no arrivals.
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
+
 class TestClassWeightValidation:
     def test_unknown_weight_keys_rejected(self):
         with pytest.raises(ValueError) as excinfo:
@@ -390,14 +432,17 @@ class TestReplayArrivals:
 
     def test_clips_to_duration(self):
         process = ReplayArrivals([2, 2], bin_seconds=10.0)
-        assert process.arrival_times(10.0) == [0.0, 5.0]
-        assert process.arrival_times(15.0) == [0.0, 5.0, 10.0]
+        assert process.arrival_times(10.0).tolist() == [0.0, 5.0]
+        assert process.arrival_times(15.0).tolist() == [0.0, 5.0, 10.0]
 
     def test_scalar_and_array_paths_identical(self):
         process = ReplayArrivals([4, 0, 9, 2], bin_seconds=30.0)
-        scalar = process.arrival_times(100.0)
-        array = process.arrival_times_array(100.0)
-        assert scalar == list(array)
+        # Arrival j of bin i is at i * bin + j * (bin / count), in order,
+        # until the horizon.
+        reference = [0.0 + j * (30.0 / 4) for j in range(4)]
+        reference += [60.0 + j * (30.0 / 9) for j in range(9)]
+        reference += [90.0]  # 90 + 15 is past the 100 s horizon
+        assert process.arrival_times(100.0).tolist() == reference
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -462,10 +507,15 @@ class TestReplayRoundTripProperty:
         assume(any(counts))
         process = ReplayArrivals(counts, bin_seconds=bin_seconds)
         horizon = len(counts) * bin_seconds
-        times = process.arrival_times(horizon)
+        times = process.arrival_times(horizon).tolist()
         assert len(times) == sum(counts) == process.total_invocations
         rebinned = [0] * len(counts)
         for t in times:
             rebinned[int(t // bin_seconds)] += 1
         assert rebinned == counts
-        assert list(process.arrival_times_array(horizon)) == times
+        reference = [
+            index * bin_seconds + j * (bin_seconds / count)
+            for index, count in enumerate(counts)
+            for j in range(count)
+        ]
+        assert times == [t for t in reference if t < horizon]
